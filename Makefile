@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/mat/ ./internal/dist/ ./internal/nn/ ./internal/train/ ./internal/core/ ./internal/sngd/ ./internal/kfac/ ./internal/telemetry/ ./internal/sched/
+	$(GO) test -race ./internal/mat/ ./internal/dist/ ./internal/nn/ ./internal/train/ ./internal/core/ ./internal/sngd/ ./internal/kfac/ ./internal/kbfgs/ ./internal/telemetry/ ./internal/sched/
 
 # Scheduler-focused race suite: the execution engine and token pool, the
 # async collectives they drive, and the cross-optimizer parity tests that

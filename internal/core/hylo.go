@@ -10,6 +10,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/numerics"
 	"repro/internal/sched"
+	"repro/internal/sngd"
 	"repro/internal/telemetry"
 )
 
@@ -26,20 +27,17 @@ type HyLo struct {
 	// Policy selects the per-epoch mode; defaults to the paper's
 	// GradientSwitch with η = 0.25 when nil.
 	Policy SwitchPolicy
-	// RandomizedKID switches the KID path to the Gaussian-sketch
-	// randomized ID (reference [33]); Oversample controls the sketch
-	// width (default DefaultOversample when zero). Kept for
-	// compatibility — Sketch is the richer switch and wins when set.
-	RandomizedKID bool
 	// Sketch selects the randomized-ID fast path for KID epochs:
-	// SketchOff (exact pivoted-QR ID), SketchGauss, or SketchSRHT. An
+	// SketchOff (exact pivoted-QR ID), SketchGauss (the Gaussian-sketch
+	// randomized ID of reference [33]), or SketchSRHT. An
 	// unhealthy sketch — condition estimate above numerics.CondLimit() or
 	// reconstruction-residual overshoot — falls back per layer to the
 	// exact KID factorization (numerics.RungExact). The fallback is pure
 	// local compute: factor shapes and the collective sequence are
 	// unchanged, so workers cannot desynchronize.
 	Sketch Sketch
-	// Oversample is the randomized-ID oversampling parameter.
+	// Oversample is the randomized-ID oversampling parameter (default
+	// DefaultOversample when zero).
 	Oversample int
 	// AdaptiveRank replaces the fixed per-worker rank ρ = r/P with the
 	// error-driven rule of AdaptiveKIDRank (KID epochs only): the rank is
@@ -76,13 +74,12 @@ type HyLo struct {
 
 	// Layer-parallel execution (internal/sched): plans carries the
 	// per-layer pipeline state for the current Update, stages the pipeline
-	// definition (built once — its closures index plans), and the engines
-	// the reusable scheduling state for Update and Precondition.
-	plans      []hyloPlan
-	stages     []sched.Stage
-	eng        sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	// definition (built once — its closures index plans), eng its reusable
+	// scheduling state, and prec the single-stage Precondition loop.
+	plans  []hyloPlan
+	stages []sched.Stage
+	eng    sched.Engine
+	prec   *sched.Loop
 
 	mode       Mode
 	delta      [][]float64 // per-layer accumulated gradient Δₑ
@@ -91,19 +88,18 @@ type HyLo struct {
 }
 
 type hyloState struct {
-	as, gs *mat.Dense // gathered reduced factors (normalized)
-	m      *mat.Dense // KID: M = Y − Y(K̂⁻¹+Y)⁻¹Y; KIS: (K̂+αI)⁻¹
+	// Woodbury is the shared SNGD core: An/Gn the normalized local
+	// factors, A/G the gathered reduced factors Aˢ/Gˢ, and M the reduced
+	// kernel-space matrix — KID: M = Y − Y(K̂⁻¹+Y)⁻¹Y; KIS: (K̂+αI)⁻¹.
+	sngd.Woodbury
 
-	// Persistent workspaces reused across iterations. an/gn hold the
-	// normalized factor copies; asLoc/gsLoc/yLoc the local reduced factors;
-	// mbuf the owner's inversion result. All of these are handed to the
-	// communicator, so they must stay owned by this state rather than cycle
-	// through the pool. yblk holds the block-diagonal Y assembly; y/z/corr
-	// are the Precondition scratch vectors.
-	an, gn             *mat.Dense
+	// Persistent workspaces reused across iterations. asLoc/gsLoc/yLoc
+	// hold the local reduced factors and mbuf the owner's KID result; they
+	// are handed to the communicator, so they must stay owned by this
+	// state rather than cycle through the pool. yblk holds the
+	// block-diagonal Y assembly.
 	asLoc, gsLoc, yLoc *mat.Dense
 	yblk, mbuf         *mat.Dense
-	y, z, corr         []float64
 	sketch             kidSketchWS // sketched-KID P/S workspace
 }
 
@@ -153,23 +149,12 @@ func NewHyLo(net *nn.Network, damping, rankFrac float64, comm dist.Comm, timelin
 		dIn, dOut := l.Dims()
 		h.delta[i] = make([]float64, dIn*dOut)
 	}
+	h.prec = sched.NewLoop("precondition", h.stagePrecondition)
 	return h
 }
 
 // Name implements opt.Preconditioner.
 func (h *HyLo) Name() string { return "HyLo" }
-
-// effectiveSketch resolves the configured sketch mode: the Sketch field
-// wins; the legacy RandomizedKID flag maps to the Gaussian sketch.
-func (h *HyLo) effectiveSketch() Sketch {
-	if h.Sketch != SketchOff {
-		return h.Sketch
-	}
-	if h.RandomizedKID {
-		return SketchGauss
-	}
-	return SketchOff
-}
 
 // idTol resolves the configured interpolative-decomposition tolerance.
 func (h *HyLo) idTol() float64 {
@@ -196,30 +181,6 @@ func (h *HyLo) ModeStrings() []string {
 		out[i] = m.String()
 	}
 	return out
-}
-
-// record closes out one schedule phase for one layer: the rank-0 Timeline
-// keeps the Fig. 7 four-bucket totals, and — when telemetry is on — every
-// rank emits a span tagged with mode and layer so Chrome-trace lanes show
-// the per-GPU schedule.
-func (h *HyLo) record(phase string, layer int, start time.Time) {
-	h.recordDur(phase, layer, time.Since(start))
-}
-
-// recordDur is record for phases whose duration was measured elsewhere —
-// the collective futures report their own execution time, which is what
-// the Fig. 7 communication buckets should contain (not the near-zero
-// submission time the dispatcher observes).
-func (h *HyLo) recordDur(phase string, layer int, dur time.Duration) {
-	if h.timeline != nil && h.comm.ID() == 0 {
-		h.timeline.Add(phase, dur.Seconds())
-	}
-	if telemetry.Enabled() {
-		telemetry.RecordSpan(phase, h.comm.ID(), dur,
-			telemetry.Label{Key: "optimizer", Value: "hylo"},
-			telemetry.Label{Key: "mode", Value: h.mode.String()},
-			telemetry.Label{Key: "layer", Value: strconv.Itoa(layer)})
-	}
 }
 
 // OnEpochStart implements the trainer's epoch hook: it folds the finished
@@ -322,24 +283,18 @@ func (h *HyLo) Update() {
 			rho = mLocal
 		}
 		// Normalize so the reduced kernel approximates the mean Fisher
-		// kernel: scaling both factors by mGlob^(-1/4) scales K by 1/mGlob.
-		scale := math.Pow(float64(mGlob), -0.25)
+		// kernel over the global batch.
 		st := h.state[i]
-		st.an = mat.EnsureDense(st.an, a.Rows(), a.Cols())
-		st.an.CopyFrom(a)
-		st.an.Scale(scale)
-		st.gn = mat.EnsureDense(st.gn, g.Rows(), g.Cols())
-		st.gn.CopyFrom(g)
-		st.gn.Scale(scale)
+		st.Normalize(a, g, mGlob)
 		h.plans = append(h.plans, hyloPlan{layer: i, rho: rho, owner: i % p, st: st})
 		if h.mode == ModeKIS {
 			pl := &h.plans[len(h.plans)-1]
-			pl.kisIdx, pl.kisCoeff = kisSample(h.rng, st.an, st.gn, rho, true)
+			pl.kisIdx, pl.kisCoeff = kisSample(h.rng, st.An, st.Gn, rho, true)
 		}
 	}
 	// The randomized-ID sketch draws from the shared RNG inside the
 	// factorize stage; Ordered serializes those draws in layer order.
-	h.stages[0].Ordered = h.mode == ModeKID && h.effectiveSketch() != SketchOff
+	h.stages[0].Ordered = h.mode == ModeKID && h.Sketch != SketchOff
 	sched.Run(&h.eng, len(h.plans), h.stages)
 }
 
@@ -359,18 +314,18 @@ func (h *HyLo) stageFactorize(i int) {
 			if tol <= 0 {
 				tol = 1e-3
 			}
-			if ar := AdaptiveKIDRank(st.an, st.gn, tol, rho); ar < rho {
+			if ar := AdaptiveKIDRank(st.An, st.Gn, tol, rho); ar < rho {
 				rho = ar
 			}
 		}
 		var facErr error
-		if sk := h.effectiveSketch(); sk != SketchOff {
+		if sk := h.Sketch; sk != SketchOff {
 			over := h.Oversample
 			if over <= 0 {
 				over = DefaultOversample
 			}
 			t1 := time.Now()
-			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsSketchInto(&st.sketch, st.asLoc, st.gsLoc, st.yLoc, h.rng, st.an, st.gn, rho, h.Damping, over, sk)
+			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsSketchInto(&st.sketch, st.asLoc, st.gsLoc, st.yLoc, h.rng, st.An, st.Gn, rho, h.Damping, over, sk)
 			if telemetry.Enabled() {
 				telemetry.IncCounter(telemetry.MetricKIDSketchNS, time.Since(t1).Nanoseconds(),
 					telemetry.Label{Key: "sketch", Value: sk.String()})
@@ -387,10 +342,10 @@ func (h *HyLo) stageFactorize(i int) {
 					telemetry.IncCounter(telemetry.MetricKIDSketchFallbacks, 1,
 						telemetry.Label{Key: "sketch", Value: sk.String()})
 				}
-				st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
+				st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(st.asLoc, st.gsLoc, st.yLoc, st.An, st.Gn, rho, h.Damping, h.idTol())
 			}
 		} else {
-			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(st.asLoc, st.gsLoc, st.yLoc, st.an, st.gn, rho, h.Damping, h.idTol())
+			st.asLoc, st.gsLoc, st.yLoc, facErr = kidFactorsInto(st.asLoc, st.gsLoc, st.yLoc, st.An, st.Gn, rho, h.Damping, h.idTol())
 		}
 		pl.as, pl.gs, pl.y = st.asLoc, st.gsLoc, st.yLoc
 		if facErr != nil {
@@ -403,18 +358,18 @@ func (h *HyLo) stageFactorize(i int) {
 			// the fallback consumes no RNG: it may fire from a concurrent
 			// stage without perturbing the shared stream.
 			numerics.RecordFallback("hylo.kid.local", numerics.RungKIS, facErr.Error())
-			st.asLoc, st.gsLoc = kisTopKInto(st.asLoc, st.gsLoc, st.an, st.gn, rho)
+			st.asLoc, st.gsLoc = kisTopKInto(st.asLoc, st.gsLoc, st.An, st.Gn, rho)
 			st.yLoc = mat.EnsureDense(st.yLoc, st.asLoc.Rows(), st.asLoc.Rows())
 			st.yLoc.Zero()
 			pl.as, pl.gs, pl.y = st.asLoc, st.gsLoc, st.yLoc
 		}
 		h.quantize(pl.as, pl.gs, pl.y)
 	} else {
-		st.asLoc, st.gsLoc = kisSelectInto(st.asLoc, st.gsLoc, st.an, st.gn, pl.kisIdx, pl.kisCoeff)
+		st.asLoc, st.gsLoc = kisSelectInto(st.asLoc, st.gsLoc, st.An, st.Gn, pl.kisIdx, pl.kisCoeff)
 		pl.as, pl.gs = st.asLoc, st.gsLoc
 		h.quantize(pl.as, pl.gs)
 	}
-	h.record(dist.PhaseFactorize, pl.layer, t0)
+	dist.RecordPhase(h.timeline, h.comm.ID(), "hylo", h.mode.String(), dist.PhaseFactorize, pl.layer, time.Since(t0))
 }
 
 // stageGather submits the factor all-gathers (lines 7 / 18) without
@@ -448,9 +403,8 @@ func (h *HyLo) stageInvert(i int) {
 	if h.mode == ModeKID {
 		gdur += pl.yF.Dur()
 	}
-	h.recordDur(dist.PhaseGather, pl.layer, gdur)
-	st.as = stackInto(st.as, pl.aParts)
-	st.gs = stackInto(st.gs, pl.gParts)
+	dist.RecordPhase(h.timeline, h.comm.ID(), "hylo", h.mode.String(), dist.PhaseGather, pl.layer, gdur)
+	st.Stack(pl.aParts, pl.gParts)
 	pl.m = nil
 	if h.comm.ID() != pl.owner {
 		return
@@ -469,9 +423,8 @@ func (h *HyLo) stageInvert(i int) {
 		st.yblk = mat.EnsureDense(st.yblk, ybr, ybc)
 		st.yblk.Zero()
 		yBlk := mat.BlockDiagInto(st.yblk, pl.yParts...)
-		rtot := st.as.Rows()
-		khat := mat.GetDense(rtot, rtot)
-		mat.KernelMatrixInto(khat, st.as, st.gs)
+		rtot := st.A.Rows()
+		khat := st.Kernel(0)
 		iyk := mat.GetDense(rtot, rtot)
 		mat.MulInto(iyk, yBlk, khat)
 		iyk.AddDiag(1)
@@ -516,31 +469,11 @@ func (h *HyLo) stageInvert(i int) {
 		mat.PutDense(khat)
 		mat.PutDense(iyk)
 	} else {
-		// K̂ = AˢAˢᵀ∘GˢGˢᵀ + αI.
-		rtot := st.as.Rows()
-		k := mat.GetDense(rtot, rtot)
-		mat.KernelMatrixInto(k, st.as, st.gs)
-		k.AddDiag(h.Damping)
-		// kinv escapes into long-lived state, so it is NOT pooled. On an
-		// unsolvable kernel the rung degrades to M = 0 (plain g/α step) in
-		// the same rtot×rtot shape, keeping the broadcast sequence matched
-		// across workers.
-		kinv, _, retries, _, err := mat.InvSPDDampedChecked(k, 0)
-		if retries > 0 {
-			numerics.AddRetries("hylo.kis.inner", retries)
-		}
-		if err != nil || !kinv.IsFinite() {
-			reason := "reduced kernel inverse not finite"
-			if err != nil {
-				reason = err.Error()
-			}
-			numerics.RecordFallback("hylo.kis.inner", numerics.RungIdentity, reason)
-			kinv = mat.NewDense(rtot, rtot)
-		}
-		pl.m = kinv
-		mat.PutDense(k)
+		// M = (K̂+αI)⁻¹ with K̂ = AˢAˢᵀ∘GˢGˢᵀ, degrading to M = 0 in the
+		// same shape on an unsolvable kernel.
+		pl.m = st.InvertKernel(h.Damping, "hylo.kis.inner")
 	}
-	h.record(dist.PhaseInvert, pl.layer, t0)
+	dist.RecordPhase(h.timeline, h.comm.ID(), "hylo", h.mode.String(), dist.PhaseInvert, pl.layer, time.Since(t0))
 }
 
 // stageBroadcast submits the result broadcast (lines 11 / 22).
@@ -552,14 +485,14 @@ func (h *HyLo) stageBroadcast(i int) {
 // waitBroadcast drains the broadcast future and installs the result.
 func (h *HyLo) waitBroadcast(i int) {
 	pl := &h.plans[i]
-	pl.st.m = pl.mF.Wait()
+	pl.st.M = pl.mF.Wait()
 }
 
 // stageStore attributes the broadcast's execution time to the Fig. 7
 // communication bucket.
 func (h *HyLo) stageStore(i int) {
 	pl := &h.plans[i]
-	h.recordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
+	dist.RecordPhase(h.timeline, h.comm.ID(), "hylo", h.mode.String(), dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
 }
 
 // quantize reduces the factors' mantissa precision before communication
@@ -578,12 +511,7 @@ func (h *HyLo) quantize(ms ...*mat.Dense) {
 // in M. It also accumulates Δₑ += g for the switching heuristic. The layers
 // are independent (per-layer state, per-layer gradients, no collectives),
 // so they run through the scheduler as a single compute stage.
-func (h *HyLo) Precondition() {
-	if h.precStages == nil {
-		h.precStages = []sched.Stage{{Name: "precondition", Fn: h.stagePrecondition}}
-	}
-	sched.Run(&h.precEng, len(h.layers), h.precStages)
-}
+func (h *HyLo) Precondition() { h.prec.Run(len(h.layers)) }
 
 func (h *HyLo) stagePrecondition(i int) {
 	l := h.layers[i]
@@ -594,33 +522,9 @@ func (h *HyLo) stagePrecondition(i int) {
 	for j, v := range gd {
 		acc[j] += v
 	}
-	st := h.state[i]
-	if st.m == nil {
-		return
+	if st := h.state[i]; st.M != nil {
+		st.Apply(gd, h.Damping)
 	}
-	st.y = mat.EnsureFloats(st.y, st.as.Rows())
-	mat.KhatriRaoApplyInto(st.y, st.as, st.gs, gd)
-	st.z = mat.EnsureFloats(st.z, st.m.Rows())
-	mat.MulVecInto(st.z, st.m, st.y)
-	st.corr = mat.EnsureFloats(st.corr, len(gd))
-	mat.KhatriRaoApplyTInto(st.corr, st.as, st.gs, st.z)
-	corr := st.corr
-	inv := 1 / h.Damping
-	for j := range gd {
-		gd[j] = inv * (gd[j] - corr[j])
-	}
-}
-
-// stackInto vertically stacks parts into a persistent, pool-backed
-// destination (the workspace analogue of mat.VStack).
-func stackInto(dst *mat.Dense, parts []*mat.Dense) *mat.Dense {
-	rows := 0
-	for _, p := range parts {
-		rows += p.Rows()
-	}
-	dst = mat.EnsureDense(dst, rows, parts[0].Cols())
-	mat.VStackInto(dst, parts...)
-	return dst
 }
 
 // StateBytes implements opt.Preconditioner: the gathered r×d factors plus
@@ -628,12 +532,7 @@ func stackInto(dst *mat.Dense, parts []*mat.Dense) *mat.Dense {
 func (h *HyLo) StateBytes() int {
 	var n int
 	for _, st := range h.state {
-		if st.as != nil {
-			n += st.as.Rows()*st.as.Cols() + st.gs.Rows()*st.gs.Cols()
-		}
-		if st.m != nil {
-			n += st.m.Rows() * st.m.Cols()
-		}
+		n += st.StateBytes()
 	}
-	return n * 8
+	return n
 }

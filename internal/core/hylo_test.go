@@ -200,8 +200,8 @@ func TestHyLoMinimumRank(t *testing.T) {
 	h.Update()
 	h.Precondition()
 	st := h.state[0]
-	if st.as.Rows() != 1 {
-		t.Fatalf("reduced rows = %d; want 1", st.as.Rows())
+	if st.A.Rows() != 1 {
+		t.Fatalf("reduced rows = %d; want 1", st.A.Rows())
 	}
 }
 
@@ -234,7 +234,7 @@ func TestHyLoAdaptiveRankShrinks(t *testing.T) {
 	h.OnEpochStart(0, false)
 	h.Update()
 	fixedRho := 12 // 0.5 × 24
-	if got := h.state[0].as.Rows(); got >= fixedRho {
+	if got := h.state[0].A.Rows(); got >= fixedRho {
 		t.Fatalf("adaptive rank %d did not shrink below fixed ρ=%d on a near-rank-1 kernel", got, fixedRho)
 	}
 	h.Precondition()
@@ -249,7 +249,7 @@ func TestHyLoRandomizedKIDRuns(t *testing.T) {
 	net := capturedNet(92, 24, 5, 3)
 	h := NewHyLo(net, 0.3, 0.25, dist.Local(), nil, mat.NewRNG(93))
 	h.Policy = FixedSwitch{Mode: ModeKID}
-	h.RandomizedKID = true
+	h.Sketch = SketchGauss
 	h.OnEpochStart(0, false)
 	h.Update()
 	h.Precondition()

@@ -166,7 +166,9 @@ func TestKIDFactorsSketchSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("kind %v: steady-state call failed: %v", kind, err)
 			}
 		})
-		if allocs > 4 {
+		// The race detector drops sync.Pool puts, so only an un-raced
+		// build can hold the pools to their steady state.
+		if allocs > 4 && !raceEnabled {
 			t.Fatalf("kind %v: %v allocs/op in steady state; want <= 4", kind, allocs)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 //
 // What deliberately is NOT saved: the sampling RNG (h.rng) — the trainer
 // owns it and checkpoints it as part of the per-rank RNG section (HyLo
-// only borrows the pointer), and the workspaces (an/gn/…), which are
+// only borrows the pointer), and the workspaces (An/Gn/…), which are
 // scratch rebuilt on the next Update.
 
 type hyloLayerState struct {
@@ -62,9 +62,9 @@ func (h *HyLo) SaveState() ([]byte, error) {
 	}
 	for i, s := range h.state {
 		st.Layers[i] = hyloLayerState{
-			As: mat.CaptureDense(s.as),
-			Gs: mat.CaptureDense(s.gs),
-			M:  mat.CaptureDense(s.m),
+			As: mat.CaptureDense(s.A),
+			Gs: mat.CaptureDense(s.G),
+			M:  mat.CaptureDense(s.M),
 		}
 	}
 	var buf bytes.Buffer
@@ -101,9 +101,9 @@ func (h *HyLo) LoadState(b []byte) error {
 	}
 	h.policyRNG.SetState(st.PolicyRNG)
 	for i, l := range st.Layers {
-		h.state[i].as = l.As.Restore()
-		h.state[i].gs = l.Gs.Restore()
-		h.state[i].m = l.M.Restore()
+		h.state[i].A = l.As.Restore()
+		h.state[i].G = l.Gs.Restore()
+		h.state[i].M = l.M.Restore()
 	}
 	return nil
 }

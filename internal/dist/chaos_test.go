@@ -131,11 +131,6 @@ func TestClusterResetAfterFailure(t *testing.T) {
 		m.Fill(1)
 		sum := w.AllReduceMat(m)
 		atomic.AddInt64(&total, int64(sum.At(0, 0)))
-		// The ring path must also be rebuilt.
-		r := w.RingAllReduce([]float64{1})
-		if r[0] != 4 {
-			t.Errorf("ring all-reduce after reset = %v; want 4", r[0])
-		}
 	})
 	if len(errs) != 0 {
 		t.Fatalf("post-reset run failed: %v", errs)

@@ -36,9 +36,6 @@ type Cluster struct {
 	barrier *barrier
 	slots   []any
 	rootMu  sync.Mutex
-
-	ringOnce sync.Once
-	ringSt   *ringState
 }
 
 // NewCluster returns a cluster of p workers.
@@ -74,8 +71,6 @@ func (c *Cluster) Reset() {
 	c.barrier = newBarrier(c.P)
 	c.barrier.timeout = timeout
 	c.slots = make([]any, c.P)
-	c.ringOnce = sync.Once{}
-	c.ringSt = nil
 }
 
 // Run launches fn on every worker goroutine and waits for all to finish.

@@ -5,8 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mat"
+	"repro/internal/telemetry"
 )
 
 func TestClusterRunAllWorkers(t *testing.T) {
@@ -216,6 +218,25 @@ func TestTimelineAccumulation(t *testing.T) {
 	}
 }
 
+// RecordPhase feeds only rank 0's Timeline, and with telemetry off it
+// sits on every optimizer's per-layer path without allocating.
+func TestRecordPhase(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	telemetry.SetEnabled(false)
+	tl := NewTimeline()
+	RecordPhase(tl, 0, "hylo", "KID", PhaseGather, 3, 500*time.Millisecond)
+	RecordPhase(tl, 1, "hylo", "KID", PhaseGather, 3, time.Second)
+	if got, n := tl.Total(PhaseGather), tl.Count(PhaseGather); got != 0.5 || n != 1 {
+		t.Fatalf("gather = %g s over %d events; want rank 0's 0.5 s once", got, n)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		RecordPhase(nil, 0, "kfac", "", PhaseInvert, 7, time.Millisecond)
+	})
+	if allocs > 0 {
+		t.Fatalf("RecordPhase allocated %.1f times per call with telemetry off", allocs)
+	}
+}
+
 // Regression for the telemetry-backed Timeline: hammering Add from many
 // plain goroutines (not just cluster workers) must yield exact totals and
 // counts. The added values are exactly representable in binary so the sum
@@ -412,88 +433,4 @@ func TestStragglerModel(t *testing.T) {
 	if effComm <= effComp {
 		t.Fatalf("comm-bound efficiency %g should exceed compute-bound %g", effComm, effComp)
 	}
-}
-
-func TestRingAllReduceMatchesBarrierVersion(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 7} {
-		for _, n := range []int{1, 5, 16, 33} {
-			c := NewCluster(p)
-			results := make([][]float64, p)
-			c.Run(func(w *Worker) {
-				x := make([]float64, n)
-				for j := range x {
-					x[j] = float64(w.Rank*n + j + 1)
-				}
-				results[w.Rank] = w.RingAllReduce(x)
-			})
-			// Reference: rank-order sum.
-			want := make([]float64, n)
-			for r := 0; r < p; r++ {
-				for j := 0; j < n; j++ {
-					want[j] += float64(r*n + j + 1)
-				}
-			}
-			for r := 0; r < p; r++ {
-				for j := 0; j < n; j++ {
-					if d := results[r][j] - want[j]; d > 1e-9 || d < -1e-9 {
-						t.Fatalf("P=%d n=%d rank %d elem %d: %g vs %g",
-							p, n, r, j, results[r][j], want[j])
-					}
-				}
-			}
-			// All ranks identical (ring result is rank-independent).
-			for r := 1; r < p; r++ {
-				for j := 0; j < n; j++ {
-					if results[r][j] != results[0][j] {
-						t.Fatalf("P=%d: ranks 0 and %d disagree", p, r)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRingAllReduceRepeatedRounds(t *testing.T) {
-	c := NewCluster(4)
-	c.Run(func(w *Worker) {
-		for round := 1; round <= 10; round++ {
-			x := []float64{float64(w.Rank + round)}
-			got := w.RingAllReduce(x)
-			want := float64(0+1+2+3) + 4*float64(round)
-			if got[0] != want {
-				t.Errorf("round %d rank %d: %g; want %g", round, w.Rank, got[0], want)
-				return
-			}
-		}
-	})
-}
-
-func TestRingAllReduceMat(t *testing.T) {
-	c := NewCluster(3)
-	c.Run(func(w *Worker) {
-		m := mat.NewDense(2, 3)
-		m.Fill(float64(w.Rank + 1))
-		sum := w.RingAllReduceMat(m)
-		for _, v := range sum.Data() {
-			if v != 6 {
-				t.Errorf("rank %d: %g; want 6", w.Rank, v)
-				return
-			}
-		}
-		// Input untouched.
-		if m.At(0, 0) != float64(w.Rank+1) {
-			t.Errorf("rank %d: input mutated", w.Rank)
-		}
-	})
-}
-
-func TestRingAllReduceSmallVector(t *testing.T) {
-	// n < P: some chunks are empty; must still work.
-	c := NewCluster(6)
-	c.Run(func(w *Worker) {
-		got := w.RingAllReduce([]float64{1, 2})
-		if got[0] != 6 || got[1] != 12 {
-			t.Errorf("rank %d: %v; want [6 12]", w.Rank, got)
-		}
-	})
 }

@@ -506,8 +506,6 @@ func (p *Proc) Rejoin() error {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.applyStart(sm)
-	telemetry.IncCounter(telemetry.MetricRecoveries, 1,
-		telemetry.Label{Key: "transport", Value: "tcp"})
 	return nil
 }
 

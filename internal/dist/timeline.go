@@ -3,7 +3,9 @@ package dist
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -16,6 +18,29 @@ const (
 	PhaseGather    = "gather"
 	PhaseBroadcast = "broadcast"
 )
+
+// RecordPhase closes out one schedule phase of one layer for a curvature
+// optimizer: the rank-0 Timeline (when non-nil) keeps the Fig. 7
+// four-bucket totals, and — when telemetry is on — every rank emits a span
+// tagged optimizer, mode (HyLo's KID/KIS; omitted when empty) and layer,
+// so Chrome-trace lanes show the per-rank schedule. Collective phases pass
+// the duration their futures measured, not the near-zero submission time.
+// It allocates nothing when telemetry is off.
+func RecordPhase(tl *Timeline, rank int, optimizer, mode, phase string, layer int, dur time.Duration) {
+	if tl != nil && rank == 0 {
+		tl.Add(phase, dur.Seconds())
+	}
+	if !telemetry.Enabled() {
+		return
+	}
+	opt := telemetry.Label{Key: "optimizer", Value: optimizer}
+	lyr := telemetry.Label{Key: "layer", Value: strconv.Itoa(layer)}
+	if mode == "" {
+		telemetry.RecordSpan(phase, rank, dur, opt, lyr)
+		return
+	}
+	telemetry.RecordSpan(phase, rank, dur, opt, telemetry.Label{Key: "mode", Value: mode}, lyr)
+}
 
 // timelineMetric is the histogram family Timeline records into, one
 // series per phase label.

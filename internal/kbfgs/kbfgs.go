@@ -30,10 +30,7 @@ type KBFGSL struct {
 
 	// Comm-free per-layer work: one compute stage each for the pair
 	// harvest and the two-loop recursion (internal/sched).
-	updStages  []sched.Stage
-	updEng     sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	upd, prec *sched.Loop
 }
 
 type lbfgsState struct {
@@ -49,6 +46,8 @@ func NewKBFGSL(net *nn.Network, damping float64, history int) *KBFGSL {
 	for i := range k.state {
 		k.state[i] = &lbfgsState{}
 	}
+	k.upd = sched.NewLoop("curvature_pairs", k.stageHarvest)
+	k.prec = sched.NewLoop("two_loop", k.stageTwoLoop)
 	return k
 }
 
@@ -64,10 +63,7 @@ func (k *KBFGSL) Update() {
 	// through the scheduler as a single compute stage.
 	defer telemetry.Span("curvature_pairs", 0,
 		telemetry.Label{Key: "optimizer", Value: "kbfgs"})()
-	if k.updStages == nil {
-		k.updStages = []sched.Stage{{Name: "curvature_pairs", Fn: k.stageHarvest}}
-	}
-	sched.Run(&k.updEng, len(k.layers), k.updStages)
+	k.upd.Run(len(k.layers))
 }
 
 func (k *KBFGSL) stageHarvest(i int) {
@@ -117,10 +113,7 @@ func (k *KBFGSL) Precondition() {
 	// The two-loop recursion is the inverse-application phase.
 	defer telemetry.Span("two_loop_recursion", 0,
 		telemetry.Label{Key: "optimizer", Value: "kbfgs"})()
-	if k.precStages == nil {
-		k.precStages = []sched.Stage{{Name: "two_loop", Fn: k.stageTwoLoop}}
-	}
-	sched.Run(&k.precEng, len(k.layers), k.precStages)
+	k.prec.Run(len(k.layers))
 }
 
 func (k *KBFGSL) stageTwoLoop(i int) {

@@ -7,7 +7,6 @@ package kfac
 
 import (
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/dist"
@@ -15,30 +14,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/numerics"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
-
-// record closes out one schedule phase for one layer: the rank-0 Timeline
-// keeps the four-bucket totals, and — when telemetry is on — every rank
-// emits a span tagged optimizer/layer for the Chrome-trace lanes.
-func record(tl *dist.Timeline, comm dist.Comm, optimizer, phase string, layer int, start time.Time) {
-	recordDur(tl, comm, optimizer, phase, layer, time.Since(start))
-}
-
-// recordDur is record for phases whose duration was measured elsewhere —
-// async collective futures report their own execution time, which is what
-// the communication buckets should contain rather than the near-zero
-// submission time.
-func recordDur(tl *dist.Timeline, comm dist.Comm, optimizer, phase string, layer int, dur time.Duration) {
-	if tl != nil && comm.ID() == 0 {
-		tl.Add(phase, dur.Seconds())
-	}
-	if telemetry.Enabled() {
-		telemetry.RecordSpan(phase, comm.ID(), dur,
-			telemetry.Label{Key: "optimizer", Value: optimizer},
-			telemetry.Label{Key: "layer", Value: strconv.Itoa(layer)})
-	}
-}
 
 // KFAC approximates each layer's Fisher block inverse with the Kronecker
 // product of inverted input/gradient covariances (Eq. 6 of the paper):
@@ -66,11 +42,10 @@ type KFAC struct {
 	state    []*kfacState
 
 	// Layer-parallel execution (internal/sched): see the HyLo counterpart.
-	plans      []kfacPlan
-	stages     []sched.Stage
-	eng        sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	plans  []kfacPlan
+	stages []sched.Stage
+	eng    sched.Engine
+	prec   *sched.Loop
 }
 
 type kfacState struct {
@@ -111,6 +86,7 @@ func NewKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Ti
 			gFactor: mat.NewDense(dOut, dOut),
 		}
 	}
+	k.prec = sched.NewLoop("precondition", k.stagePrecondition)
 	return k
 }
 
@@ -136,14 +112,6 @@ func invertFactor(f *mat.Dense, gamma float64, site string) *mat.Dense {
 	}
 	numerics.RecordFallback(site, numerics.RungDiagonal, reason)
 	return mat.DiagInvDamped(f, gamma)
-}
-
-func (k *KFAC) record(phase string, layer int, start time.Time) {
-	record(k.timeline, k.comm, "kfac", phase, layer, start)
-}
-
-func (k *KFAC) recordDur(phase string, layer int, dur time.Duration) {
-	recordDur(k.timeline, k.comm, "kfac", phase, layer, dur)
 }
 
 // ensureStages builds the pipeline definition once; its closures index
@@ -198,7 +166,7 @@ func (k *KFAC) stageFactorize(i int) {
 	st.fgBuf = mat.EnsureDense(st.fgBuf, pl.g.Cols(), pl.g.Cols())
 	mat.GramTInto(st.fgBuf, pl.g)
 	st.fgBuf.Scale(1 / pl.m)
-	k.record(dist.PhaseFactorize, pl.layer, t0)
+	dist.RecordPhase(k.timeline, k.comm.ID(), "kfac", "", dist.PhaseFactorize, pl.layer, time.Since(t0))
 }
 
 // stageReduce submits the factor all-reduces (KAISA step 3).
@@ -219,7 +187,7 @@ func (k *KFAC) waitReduce(i int) {
 func (k *KFAC) stageInvert(i int) {
 	pl := &k.plans[i]
 	st := pl.st
-	k.recordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
+	dist.RecordPhase(k.timeline, k.comm.ID(), "kfac", "", dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
 	// Memory-optimal layers keep the running factor state only on
 	// their owner; comm-optimal layers keep it everywhere.
 	keepFactors := pl.commOpt || k.comm.ID() == pl.owner
@@ -239,14 +207,14 @@ func (k *KFAC) stageInvert(i int) {
 		// inverse broadcast (KAISA's comm-opt placement).
 		t0 := time.Now()
 		st.aInv, st.gInv = k.invertPair(pl.l, st)
-		k.record(dist.PhaseInvert, pl.layer, t0)
+		dist.RecordPhase(k.timeline, k.comm.ID(), "kfac", "", dist.PhaseInvert, pl.layer, time.Since(t0))
 		return
 	}
 	pl.aInv, pl.gInv = nil, nil
 	if k.comm.ID() == pl.owner {
 		t0 := time.Now()
 		pl.aInv, pl.gInv = k.invertPair(pl.l, st)
-		k.record(dist.PhaseInvert, pl.layer, t0)
+		dist.RecordPhase(k.timeline, k.comm.ID(), "kfac", "", dist.PhaseInvert, pl.layer, time.Since(t0))
 	}
 }
 
@@ -287,18 +255,13 @@ func (k *KFAC) stageStore(i int) {
 	if pl.commOpt {
 		return
 	}
-	k.recordDur(dist.PhaseBroadcast, pl.layer, pl.aBF.Dur()+pl.gBF.Dur())
+	dist.RecordPhase(k.timeline, k.comm.ID(), "kfac", "", dist.PhaseBroadcast, pl.layer, pl.aBF.Dur()+pl.gBF.Dur())
 }
 
 // Precondition implements opt.Preconditioner: grad ← A⁻¹ · grad · G⁻¹.
 // The layers are independent, so they run through the scheduler as a
 // single compute stage.
-func (k *KFAC) Precondition() {
-	if k.precStages == nil {
-		k.precStages = []sched.Stage{{Name: "precondition", Fn: k.stagePrecondition}}
-	}
-	sched.Run(&k.precEng, len(k.layers), k.precStages)
-}
+func (k *KFAC) Precondition() { k.prec.Run(len(k.layers)) }
 
 func (k *KFAC) stagePrecondition(i int) {
 	st := k.state[i]
@@ -373,10 +336,6 @@ func NewEKFAC(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.T
 // Name implements opt.Preconditioner.
 func (e *EKFAC) Name() string { return "EKFAC" }
 
-func (e *EKFAC) record(phase string, layer int, start time.Time) {
-	record(e.timeline, e.comm, "ekfac", phase, layer, start)
-}
-
 // Update implements opt.Preconditioner.
 func (e *EKFAC) Update() {
 	p := e.comm.Size()
@@ -395,12 +354,12 @@ func (e *EKFAC) Update() {
 		st.fgBuf = mat.EnsureDense(st.fgBuf, g.Cols(), g.Cols())
 		mat.GramTInto(st.fgBuf, g)
 		fg := st.fgBuf.Scale(1 / m)
-		e.record(dist.PhaseFactorize, i, t0)
+		dist.RecordPhase(e.timeline, e.comm.ID(), "ekfac", "", dist.PhaseFactorize, i, time.Since(t0))
 
 		t0 = time.Now()
 		fa = e.comm.AllReduceMat(fa)
 		fg = e.comm.AllReduceMat(fg)
-		e.record(dist.PhaseGather, i, t0)
+		dist.RecordPhase(e.timeline, e.comm.ID(), "ekfac", "", dist.PhaseGather, i, time.Since(t0))
 		if !st.initialized {
 			st.aFactor.CopyFrom(fa)
 			st.gFactor.CopyFrom(fg)
@@ -418,12 +377,12 @@ func (e *EKFAC) Update() {
 			t0 = time.Now()
 			_, qa = mat.SymEig(st.aFactor)
 			_, qg = mat.SymEig(st.gFactor)
-			e.record(dist.PhaseInvert, i, t0)
+			dist.RecordPhase(e.timeline, e.comm.ID(), "ekfac", "", dist.PhaseInvert, i, time.Since(t0))
 		}
 		t0 = time.Now()
 		st.qa = e.comm.BroadcastMat(owner, qa)
 		st.qg = e.comm.BroadcastMat(owner, qg)
-		e.record(dist.PhaseBroadcast, i, t0)
+		dist.RecordPhase(e.timeline, e.comm.ID(), "ekfac", "", dist.PhaseBroadcast, i, time.Since(t0))
 
 		// Refresh the diagonal scale from the current gradient projected
 		// into the eigenbasis (pooled scratch; sq = proj∘proj in place).

@@ -240,7 +240,9 @@ func TestRandomizedIDIntoSteadyStateAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			p, s, _ = RandomizedIDInto(p, s, rng, q, 8, 6, kind)
 		})
-		if allocs > 4 {
+		// The race detector drops sync.Pool puts, so only an un-raced
+		// build can hold the pools to their steady state.
+		if allocs > 4 && !raceEnabled {
 			t.Fatalf("kind %d: %v allocs/op in steady state; want <= 4", kind, allocs)
 		}
 	}

@@ -135,6 +135,23 @@ func Run(e *Engine, n int, stages []Stage) {
 	e.run(n, stages)
 }
 
+// Loop is a single-compute-stage pipeline: the per-layer loop of work
+// that touches only per-layer state and issues no collectives (every
+// Precondition, and the comm-free Updates of LocalSNGD and KBFGS-L). It
+// owns its stage definition and Engine, so repeated runs allocate nothing.
+type Loop struct {
+	stage []Stage
+	eng   Engine
+}
+
+// NewLoop returns a Loop that runs fn for each layer as the stage name.
+func NewLoop(name string, fn func(layer int)) *Loop {
+	return &Loop{stage: []Stage{{Name: name, Fn: fn}}}
+}
+
+// Run executes the loop over layers 0..n-1 (see Run for the schedule).
+func (l *Loop) Run(n int) { Run(&l.eng, n, l.stage) }
+
 func (e *Engine) run(n int, stages []Stage) {
 	w := Workers()
 	if e.cond == nil {

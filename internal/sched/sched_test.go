@@ -229,7 +229,8 @@ func TestRunCommPanicAborts(t *testing.T) {
 }
 
 // TestRunInlineAllocFree: the workers=1 path must not allocate — it is the
-// legacy sequential schedule and sits on the hot path of every update.
+// legacy sequential schedule and sits on the hot path of every update —
+// for a stage graph and for the single-stage Loop alike.
 func TestRunInlineAllocFree(t *testing.T) {
 	withWorkers(t, 1, 1, func() {
 		var e Engine
@@ -240,6 +241,10 @@ func TestRunInlineAllocFree(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() { Run(&e, 8, stages) })
 		if allocs > 0 {
 			t.Fatalf("inline Run allocated %.1f times per run", allocs)
+		}
+		l := NewLoop("loop", func(i int) {})
+		if allocs := testing.AllocsPerRun(100, func() { l.Run(8) }); allocs > 0 {
+			t.Fatalf("inline Loop.Run allocated %.1f times per run", allocs)
 		}
 	})
 }

@@ -96,35 +96,44 @@ func decodeCRCLine(line []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// writeJobRecord persists the submission record atomically: staged in a
-// temp file in the same directory, synced, and renamed into place, so a
-// reader can never observe a torn record.
+// writeJobRecord persists the submission record atomically (see
+// writeFileAtomic), so a reader can never observe a torn record.
 func writeJobRecord(dir string, rec jobRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("runner: encode job record: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-job-*")
+	if err := writeFileAtomic(filepath.Join(dir, jobRecordFile), encodeCRCLine(payload)); err != nil {
+		return fmt.Errorf("runner: job record: %w", err)
+	}
+	return nil
+}
+
+// writeFileAtomic publishes data at path: staged in a temp file in the
+// same directory, synced, and renamed into place, so the file either does
+// not exist or is complete.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-"+filepath.Base(path)+"-*")
 	if err != nil {
-		return fmt.Errorf("runner: stage job record: %w", err)
+		return fmt.Errorf("stage: %w", err)
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(encodeCRCLine(payload)); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		cleanup()
-		return fmt.Errorf("runner: write job record: %w", err)
+		return fmt.Errorf("write: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		cleanup()
-		return fmt.Errorf("runner: sync job record: %w", err)
+		return fmt.Errorf("sync: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("runner: close job record: %w", err)
+		return fmt.Errorf("close: %w", err)
 	}
-	if err := os.Rename(tmpName, filepath.Join(dir, jobRecordFile)); err != nil {
+	if err := os.Rename(tmpName, path); err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("runner: publish job record: %w", err)
+		return fmt.Errorf("publish: %w", err)
 	}
 	return nil
 }

@@ -551,10 +551,10 @@ func (r *Runner) Cancel(id string) error {
 		// The dispatcher discards cancelled jobs it pops; no token was
 		// held, so the transition is immediate.
 		j.userCancelled = true
-		j.transitionLocked(api.StateCancelled)
 		j.appendJournalLocked(journalEntry{State: api.StateCancelled, Event: "cancelled"})
 		j.logEventLocked(telemetryLine{Event: "cancelled", State: string(api.StateCancelled)})
 		j.closeLogsLocked()
+		j.transitionLocked(api.StateCancelled)
 		j.mu.Unlock()
 	default: // running
 		// Mark the cancel as user-initiated so a preemption racing with it
@@ -598,24 +598,31 @@ func (r *Runner) dispatch() {
 
 func (r *Runner) runJob(j *Job, tenant string) {
 	defer r.wg.Done()
-	defer func() { <-r.slots }()
-	defer r.q.Done(tenant)
 	r.dispatched.Add(1)
-	defer r.dispatched.Add(-1)
+	// release returns the job's dispatch slot and queue accounting. It
+	// runs before the terminal state (or the requeue) is published, so a
+	// caller woken by Done finds every resource of the job already free.
+	release := func() {
+		r.dispatched.Add(-1)
+		r.q.Done(tenant)
+		<-r.slots
+	}
 
 	// One token per running job, shared with nested stage/GEMM
 	// parallelism: this acquire is what makes N concurrent jobs respect
 	// the process-wide core budget. Cancellation aborts the wait.
 	if !r.cfg.Pool.Acquire(j.Context().Done()) {
+		release()
 		j.finish(api.StateCancelled, nil, nil)
 		return
 	}
-	defer r.cfg.Pool.Release(1)
 
 	j.mu.Lock()
 	if err := j.transitionLocked(api.StateRunning); err != nil {
 		// Cancelled between dequeue and token grant; nothing ran.
 		j.mu.Unlock()
+		r.cfg.Pool.Release(1)
+		release()
 		return
 	}
 	j.appendJournalLocked(journalEntry{
@@ -632,6 +639,8 @@ func (r *Runner) runJob(j *Job, tenant string) {
 	dur := time.Since(start)
 	n = r.running.Add(-1)
 	telemetry.SetGauge(telemetry.MetricServeJobsRunning, float64(n))
+	r.cfg.Pool.Release(1)
+	release()
 
 	state := api.StateDone
 	switch {
@@ -744,39 +753,34 @@ func isCancelled(err error) bool {
 	return errors.Is(err, train.ErrCancelled) || errors.Is(err, context.Canceled)
 }
 
-// finish drives the job to its terminal state, persists the result
-// artifact, logs the final telemetry line, and closes the log. Safe to
-// call when the job is already terminal (the queued-cancel race).
+// finish commits the job: it publishes the result artifact atomically,
+// journals and logs the final line, closes the logs, and only then moves
+// the job to its terminal state — so whoever observes a terminal state
+// finds every artifact complete and no later write pending. Safe to call
+// when the job is already terminal (the queued-cancel race).
 func (j *Job) finish(state api.State, result *api.Result, err error) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
-	j.transitionLocked(state)
 	if err != nil {
 		j.errMsg = err.Error()
 	}
 	if result != nil && (state == api.StateDone || state == api.StateCancelled) {
 		j.result = result
 	}
-	j.appendJournalLocked(journalEntry{State: state, Event: "finished", Error: j.errMsg})
-	line := telemetryLine{Event: "finished", State: string(state), Error: j.errMsg}
-	j.logEventLocked(line)
-	j.closeLogsLocked()
-	resPath := j.arts.Result
-	var resCopy *api.Result
 	if j.result != nil {
-		c := *j.result
-		resCopy = &c
-	}
-	j.mu.Unlock()
-
-	if resCopy != nil {
-		if b, err := json.MarshalIndent(resCopy, "", "  "); err == nil {
-			os.WriteFile(resPath, append(b, '\n'), 0o644)
+		// A failed write leaves no torn file, and the job's in-memory
+		// result still serves the result endpoint.
+		if b, err := json.MarshalIndent(j.result, "", "  "); err == nil {
+			_ = writeFileAtomic(j.arts.Result, append(b, '\n'))
 		}
 	}
+	j.appendJournalLocked(journalEntry{State: state, Event: "finished", Error: j.errMsg})
+	j.logEventLocked(telemetryLine{Event: "finished", State: string(state), Error: j.errMsg})
+	j.closeLogsLocked()
+	j.transitionLocked(state)
 }
 
 // Shutdown stops admission, cancels every non-terminal job (running jobs

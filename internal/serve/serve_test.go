@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -21,7 +22,9 @@ import (
 )
 
 // newTestServer boots a full stack — real executor, private 2-token pool —
-// behind an httptest listener.
+// behind an httptest listener. Cleanup closes the listener, then shuts the
+// runner down, so every job has finished writing its artifacts before the
+// temp directory is removed.
 func newTestServer(t testing.TB, qcfg queue.Config, exec runner.ExecFunc) (*httptest.Server, *runner.Runner) {
 	t.Helper()
 	telemetry.SetEnabled(true)
@@ -34,6 +37,13 @@ func newTestServer(t testing.TB, qcfg queue.Config, exec runner.ExecFunc) (*http
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := r.Shutdown(ctx); err != nil {
+			t.Errorf("runner shutdown: %v", err)
+		}
+	})
 	ts := httptest.NewServer(serve.New(r))
 	t.Cleanup(ts.Close)
 	return ts, r

@@ -3,42 +3,19 @@
 // distributed schedule of Fig. 1: per-worker factors are all-gathered to
 // form the global-batch kernel matrix, the owning worker inverts it, and
 // the inverse action is applied through the Khatri-Rao structure without
-// materializing the Jacobian.
+// materializing the Jacobian. Its per-layer Woodbury core is shared with
+// HyLo (internal/core), whose KID/KIS updates are the same step on reduced
+// factors.
 package sngd
 
 import (
-	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mat"
 	"repro/internal/nn"
-	"repro/internal/numerics"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
-
-// invertKernel is the degradation-aware damped kernel inverse shared by the
-// SNGD variants: bounded Levenberg-Marquardt escalation, then M = 0 (the
-// plain g/α step) when no damping stabilizes the solve — the zero matrix
-// keeps the broadcast shape matched across workers. Retries and fallbacks
-// are recorded under site.
-func invertKernel(k *mat.Dense, site string) *mat.Dense {
-	kinv, _, retries, _, err := mat.InvSPDDampedChecked(k, 0)
-	if retries > 0 {
-		numerics.AddRetries(site, retries)
-	}
-	if err == nil && kinv.IsFinite() {
-		return kinv
-	}
-	reason := "kernel inverse not finite"
-	if err != nil {
-		reason = err.Error()
-	}
-	numerics.RecordFallback(site, numerics.RungIdentity, reason)
-	return mat.NewDense(k.Rows(), k.Cols())
-}
 
 // SNGD preconditions gradients with
 //
@@ -62,34 +39,24 @@ type SNGD struct {
 	comm     dist.Comm
 	async    *dist.AsyncComm
 	timeline *dist.Timeline
-	state    []*sngdState
+	// state holds each layer's Woodbury core; M is the explicit kernel
+	// inverse, or the damped kernel itself under UseCG.
+	state []*Woodbury
 
 	// Layer-parallel execution (internal/sched): see the HyLo counterpart.
-	plans      []sngdPlan
-	stages     []sched.Stage
-	eng        sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
-}
-
-type sngdState struct {
-	aGlob, gGlob *mat.Dense // gathered global factors (normalized)
-	kinv         *mat.Dense // explicit inverse, or the damped kernel under UseCG
-
-	// Persistent workspaces reused across iterations: normalized local
-	// factor copies (handed to the communicator, so owned here rather than
-	// pooled) and the Precondition scratch vectors.
-	an, gn     *mat.Dense
-	y, z, corr []float64
+	plans  []sngdPlan
+	stages []sched.Stage
+	eng    sched.Engine
+	prec   *sched.Loop
 }
 
 // sngdPlan is one layer's slot in the scheduled pipeline; it persists
 // across updates so the embedded futures are reused allocation-free.
 type sngdPlan struct {
 	layer, owner int
-	st           *sngdState
+	st           *Woodbury
 	a, g         *mat.Dense // this step's captures
-	scale        float64
+	samples      int        // global batch rows the factors normalize over
 
 	aF, gF         dist.GatherFuture
 	aParts, gParts []*mat.Dense
@@ -100,35 +67,21 @@ type sngdPlan struct {
 // New builds an SNGD preconditioner over the network's kernel layers.
 func New(net *nn.Network, damping float64, comm dist.Comm, timeline *dist.Timeline) *SNGD {
 	s := &SNGD{Damping: damping, layers: net.KernelLayers(), comm: comm, timeline: timeline}
-	s.state = make([]*sngdState, len(s.layers))
-	for i := range s.state {
-		s.state[i] = &sngdState{}
-	}
+	s.state = newCores(len(s.layers))
+	s.prec = sched.NewLoop("precondition", s.stagePrecondition)
 	return s
+}
+
+func newCores(n int) []*Woodbury {
+	cores := make([]*Woodbury, n)
+	for i := range cores {
+		cores[i] = &Woodbury{}
+	}
+	return cores
 }
 
 // Name implements opt.Preconditioner.
 func (s *SNGD) Name() string { return "SNGD" }
-
-// record closes out one schedule phase for one layer: the rank-0
-// Timeline keeps the four-bucket totals, and — when telemetry is on —
-// every rank emits a span tagged optimizer/layer.
-func (s *SNGD) record(phase string, layer int, start time.Time) {
-	s.recordDur(phase, layer, time.Since(start))
-}
-
-// recordDur is record for phases whose duration was measured elsewhere
-// (async collective futures report their own execution time).
-func (s *SNGD) recordDur(phase string, layer int, dur time.Duration) {
-	if s.timeline != nil && s.comm.ID() == 0 {
-		s.timeline.Add(phase, dur.Seconds())
-	}
-	if telemetry.Enabled() {
-		telemetry.RecordSpan(phase, s.comm.ID(), dur,
-			telemetry.Label{Key: "optimizer", Value: "sngd"},
-			telemetry.Label{Key: "layer", Value: strconv.Itoa(layer)})
-	}
-}
 
 // ensureStages builds the pipeline definition once; its closures index
 // s.plans.
@@ -161,12 +114,8 @@ func (s *SNGD) Update() {
 		if a == nil {
 			continue
 		}
-		mGlob := a.Rows() * p
-		// Normalize so the kernel represents the mean Fisher: scaling both
-		// factors by mGlob^(-1/4) scales K by 1/mGlob and U by 1/√mGlob.
-		scale := math.Pow(float64(mGlob), -0.25)
 		s.plans = append(s.plans, sngdPlan{
-			layer: i, owner: i % p, st: s.state[i], a: a, g: g, scale: scale,
+			layer: i, owner: i % p, st: s.state[i], a: a, g: g, samples: a.Rows() * p,
 		})
 	}
 	sched.Run(&s.eng, len(s.plans), s.stages)
@@ -174,20 +123,14 @@ func (s *SNGD) Update() {
 
 func (s *SNGD) stageNormalize(i int) {
 	pl := &s.plans[i]
-	st := pl.st
-	st.an = mat.EnsureDense(st.an, pl.a.Rows(), pl.a.Cols())
-	st.an.CopyFrom(pl.a)
-	st.an.Scale(pl.scale)
-	st.gn = mat.EnsureDense(st.gn, pl.g.Rows(), pl.g.Cols())
-	st.gn.CopyFrom(pl.g)
-	st.gn.Scale(pl.scale)
+	pl.st.Normalize(pl.a, pl.g, pl.samples)
 }
 
 // stageGather submits the factor all-gathers (Fig. 1 step 2).
 func (s *SNGD) stageGather(i int) {
 	pl := &s.plans[i]
-	s.async.StartAllGatherMat(&pl.aF, pl.st.an)
-	s.async.StartAllGatherMat(&pl.gF, pl.st.gn)
+	s.async.StartAllGatherMat(&pl.aF, pl.st.An)
+	s.async.StartAllGatherMat(&pl.gF, pl.st.Gn)
 }
 
 func (s *SNGD) waitGather(i int) {
@@ -201,28 +144,23 @@ func (s *SNGD) waitGather(i int) {
 func (s *SNGD) stageInvert(i int) {
 	pl := &s.plans[i]
 	st := pl.st
-	s.recordDur(dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
-	st.aGlob = stackInto(st.aGlob, pl.aParts)
-	st.gGlob = stackInto(st.gGlob, pl.gParts)
+	dist.RecordPhase(s.timeline, s.comm.ID(), "sngd", "", dist.PhaseGather, pl.layer, pl.aF.Dur()+pl.gF.Dur())
+	st.Stack(pl.aParts, pl.gParts)
 	pl.m = nil
 	if s.comm.ID() != pl.owner {
 		return
 	}
 	t0 := time.Now()
-	mg := st.aGlob.Rows()
-	k := mat.GetDense(mg, mg)
-	mat.KernelMatrixInto(k, st.aGlob, st.gGlob)
-	k.AddDiag(s.Damping)
 	if s.UseCG {
-		// k escapes into long-lived state under CG: hand it over
+		// The kernel escapes into long-lived state under CG: hand it over
 		// un-pooled so the state never holds pool-owned storage.
+		k := st.Kernel(s.Damping)
 		pl.m = k.Clone()
 		mat.PutDense(k)
 	} else {
-		pl.m = invertKernel(k, "sngd.kernel")
-		mat.PutDense(k)
+		pl.m = st.InvertKernel(s.Damping, "sngd.kernel")
 	}
-	s.record(dist.PhaseInvert, pl.layer, t0)
+	dist.RecordPhase(s.timeline, s.comm.ID(), "sngd", "", dist.PhaseInvert, pl.layer, time.Since(t0))
 }
 
 // stageBroadcast submits the inverted-kernel broadcast (Fig. 1 step 4).
@@ -233,68 +171,49 @@ func (s *SNGD) stageBroadcast(i int) {
 
 func (s *SNGD) waitBroadcast(i int) {
 	pl := &s.plans[i]
-	pl.st.kinv = pl.mF.Wait()
+	pl.st.M = pl.mF.Wait()
 }
 
 func (s *SNGD) stageStore(i int) {
 	pl := &s.plans[i]
-	s.recordDur(dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
+	dist.RecordPhase(s.timeline, s.comm.ID(), "sngd", "", dist.PhaseBroadcast, pl.layer, pl.mF.Dur())
 }
 
 // Precondition implements opt.Preconditioner, applying Eq. (7) through the
-// Khatri-Rao structure (no dIn·dOut × dIn·dOut matrices are formed). The
-// layers are independent, so they run through the scheduler as a single
-// compute stage.
-func (s *SNGD) Precondition() {
-	if s.precStages == nil {
-		s.precStages = []sched.Stage{{Name: "precondition", Fn: s.stagePrecondition}}
-	}
-	sched.Run(&s.precEng, len(s.layers), s.precStages)
-}
+// Khatri-Rao structure. The layers are independent, so they run through
+// the scheduler as a single compute stage.
+func (s *SNGD) Precondition() { s.prec.Run(len(s.layers)) }
 
 func (s *SNGD) stagePrecondition(i int) {
 	st := s.state[i]
-	if st.kinv == nil {
+	if st.M == nil {
 		return
 	}
-	w := s.layers[i].Weight()
-	g := w.Grad
-	// y = U g (m-vector), z = K⁻¹ y, corr = Uᵀ z.
-	st.y = mat.EnsureFloats(st.y, st.aGlob.Rows())
-	mat.KhatriRaoApplyInto(st.y, st.aGlob, st.gGlob, g.Data())
-	y := st.y
-	var z []float64
-	if s.UseCG {
-		tol := s.CGTol
-		if tol <= 0 {
-			tol = 1e-10
-		}
-		z, _ = mat.CG(st.kinv, y, tol, 20*len(y))
-	} else {
-		st.z = mat.EnsureFloats(st.z, st.kinv.Rows())
-		mat.MulVecInto(st.z, st.kinv, y)
-		z = st.z
+	g := s.layers[i].Weight().Grad.Data()
+	if !s.UseCG {
+		st.Apply(g, s.Damping)
+		return
 	}
-	st.corr = mat.EnsureFloats(st.corr, st.aGlob.Cols()*st.gGlob.Cols())
-	mat.KhatriRaoApplyTInto(st.corr, st.aGlob, st.gGlob, z)
-	corr := st.corr
-	gd := g.Data()
-	inv := 1 / s.Damping
-	for j := range gd {
-		gd[j] = inv * (gd[j] - corr[j])
+	tol := s.CGTol
+	if tol <= 0 {
+		tol = 1e-10
 	}
+	y := st.project(g)
+	z, _ := mat.CG(st.M, y, tol, 20*len(y))
+	st.correct(g, z, s.Damping)
 }
 
-// stackInto vertically stacks parts into a persistent, pool-backed
-// destination (the workspace analogue of mat.VStack).
-func stackInto(dst *mat.Dense, parts []*mat.Dense) *mat.Dense {
-	rows := 0
-	for _, p := range parts {
-		rows += p.Rows()
+// StateBytes implements opt.Preconditioner: the gathered global factors
+// plus the Pm×Pm kernel inverse per layer — Table I's
+// O(Pmd + P²m² + d²) storage row.
+func (s *SNGD) StateBytes() int { return coresBytes(s.state) }
+
+func coresBytes(cores []*Woodbury) int {
+	var n int
+	for _, st := range cores {
+		n += st.StateBytes()
 	}
-	dst = mat.EnsureDense(dst, rows, parts[0].Cols())
-	mat.VStackInto(dst, parts...)
-	return dst
+	return n
 }
 
 // LocalSNGD is the SENG-style variant the paper's footnote 4 discusses:
@@ -307,23 +226,19 @@ type LocalSNGD struct {
 	Damping float64
 
 	layers []nn.KernelLayer
-	state  []*sngdState
+	state  []*Woodbury
 
 	// Comm-free per-layer work: one compute stage each for Update and
 	// Precondition.
-	updStages  []sched.Stage
-	updEng     sched.Engine
-	precStages []sched.Stage
-	precEng    sched.Engine
+	upd, prec *sched.Loop
 }
 
 // NewLocal builds the communication-free SENG-style preconditioner.
 func NewLocal(net *nn.Network, damping float64) *LocalSNGD {
 	s := &LocalSNGD{Damping: damping, layers: net.KernelLayers()}
-	s.state = make([]*sngdState, len(s.layers))
-	for i := range s.state {
-		s.state[i] = &sngdState{}
-	}
+	s.state = newCores(len(s.layers))
+	s.upd = sched.NewLoop("local-kernel", s.stageUpdate)
+	s.prec = sched.NewLoop("precondition", s.stagePrecondition)
 	return s
 }
 
@@ -332,88 +247,30 @@ func (s *LocalSNGD) Name() string { return "SENG-local" }
 
 // Update implements opt.Preconditioner: invert each layer's local kernel.
 // Entirely communication-free, so the whole update is one parallel stage.
-func (s *LocalSNGD) Update() {
-	if s.updStages == nil {
-		s.updStages = []sched.Stage{{Name: "local-kernel", Fn: s.stageUpdate}}
-	}
-	sched.Run(&s.updEng, len(s.layers), s.updStages)
-}
+func (s *LocalSNGD) Update() { s.upd.Run(len(s.layers)) }
 
 func (s *LocalSNGD) stageUpdate(i int) {
 	a, g := s.layers[i].Capture()
 	if a == nil {
 		return
 	}
-	scale := math.Pow(float64(a.Rows()), -0.25)
 	st := s.state[i]
-	st.aGlob = mat.EnsureDense(st.aGlob, a.Rows(), a.Cols())
-	st.aGlob.CopyFrom(a)
-	st.aGlob.Scale(scale)
-	st.gGlob = mat.EnsureDense(st.gGlob, g.Rows(), g.Cols())
-	st.gGlob.CopyFrom(g)
-	st.gGlob.Scale(scale)
-	m := a.Rows()
-	k := mat.GetDense(m, m)
-	mat.KernelMatrixInto(k, st.aGlob, st.gGlob)
-	k.AddDiag(s.Damping)
-	st.kinv = invertKernel(k, "sngd.local.kernel")
-	mat.PutDense(k)
+	// Nothing is gathered: the normalized local factors are the stack.
+	st.Normalize(a, g, a.Rows())
+	st.A, st.G = st.An, st.Gn
+	st.M = st.InvertKernel(s.Damping, "sngd.local.kernel")
 }
 
 // Precondition implements opt.Preconditioner (Eq. 7 on local factors).
-func (s *LocalSNGD) Precondition() {
-	if s.precStages == nil {
-		s.precStages = []sched.Stage{{Name: "precondition", Fn: s.stagePrecondition}}
-	}
-	sched.Run(&s.precEng, len(s.layers), s.precStages)
-}
+func (s *LocalSNGD) Precondition() { s.prec.Run(len(s.layers)) }
 
 func (s *LocalSNGD) stagePrecondition(i int) {
 	st := s.state[i]
-	if st.kinv == nil {
+	if st.M == nil {
 		return
 	}
-	g := s.layers[i].Weight().Grad
-	st.y = mat.EnsureFloats(st.y, st.aGlob.Rows())
-	mat.KhatriRaoApplyInto(st.y, st.aGlob, st.gGlob, g.Data())
-	st.z = mat.EnsureFloats(st.z, st.kinv.Rows())
-	mat.MulVecInto(st.z, st.kinv, st.y)
-	st.corr = mat.EnsureFloats(st.corr, st.aGlob.Cols()*st.gGlob.Cols())
-	mat.KhatriRaoApplyTInto(st.corr, st.aGlob, st.gGlob, st.z)
-	corr := st.corr
-	gd := g.Data()
-	inv := 1 / s.Damping
-	for j := range gd {
-		gd[j] = inv * (gd[j] - corr[j])
-	}
+	st.Apply(s.layers[i].Weight().Grad.Data(), s.Damping)
 }
 
 // StateBytes implements opt.Preconditioner.
-func (s *LocalSNGD) StateBytes() int {
-	var n int
-	for _, st := range s.state {
-		if st.aGlob == nil {
-			continue
-		}
-		n += st.aGlob.Rows()*st.aGlob.Cols() + st.gGlob.Rows()*st.gGlob.Cols() +
-			st.kinv.Rows()*st.kinv.Cols()
-	}
-	return n * 8
-}
-
-// StateBytes implements opt.Preconditioner: the gathered global factors
-// plus the Pm×Pm kernel inverse per layer — Table I's
-// O(Pmd + P²m² + d²) storage row.
-func (s *SNGD) StateBytes() int {
-	var n int
-	for _, st := range s.state {
-		if st.aGlob == nil {
-			continue
-		}
-		n += st.aGlob.Rows()*st.aGlob.Cols() + st.gGlob.Rows()*st.gGlob.Cols()
-		if st.kinv != nil {
-			n += st.kinv.Rows() * st.kinv.Cols()
-		}
-	}
-	return n * 8
-}
+func (s *LocalSNGD) StateBytes() int { return coresBytes(s.state) }

@@ -110,7 +110,7 @@ func Observe(name string, v float64, labels ...Label) {
 // and dashboards agree on one vocabulary.
 const (
 	// MetricCommBytes counts collective payload bytes per participant,
-	// labeled op=allreduce|allgather|broadcast|reducescatter|ring.
+	// labeled op=allreduce|allgather|broadcast|reducescatter.
 	MetricCommBytes = "dist_comm_bytes_total"
 	// MetricCommCalls counts collective invocations per participant.
 	MetricCommCalls = "dist_comm_calls_total"

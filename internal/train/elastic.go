@@ -75,37 +75,10 @@ func RunElasticCtx(ctx context.Context, p int, cfg Config, ec ElasticConfig,
 	trainSet, testSet *data.Dataset, task Task,
 	makePre PrecondFactory, target float64) (Result, error) {
 
-	mgr, err := ckpt.NewManager(ec.Dir, ec.Keep)
+	es, err := newElasticState(ec)
 	if err != nil {
-		return Result{}, fmt.Errorf("train: checkpoint dir: %w", err)
+		return Result{}, err
 	}
-	every := ec.Every
-	if every <= 0 {
-		every = 1
-	}
-	maxRestarts := ec.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 3
-	}
-
-	plan := dist.FaultPlan{PanicStep: -1}
-	if ec.Faults != nil {
-		plan = *ec.Faults
-	}
-
-	var resume *ckpt.Snapshot
-	if ec.Resume {
-		snap, _, err := mgr.LoadLatest()
-		switch {
-		case err == nil:
-			resume = snap
-		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			// Fresh start.
-		default:
-			return Result{}, err
-		}
-	}
-
 	cluster := dist.NewCluster(p)
 	if ec.BarrierTimeout > 0 {
 		cluster.SetBarrierTimeout(ec.BarrierTimeout)
@@ -114,13 +87,13 @@ func RunElasticCtx(ctx context.Context, p int, cfg Config, ec ElasticConfig,
 	for attempt := 0; ; attempt++ {
 		tl := dist.NewTimeline()
 		var res Result
-		snap := resume
+		plan, snap := es.plan, es.resume
 		errs := cluster.RunWithRecovery(func(w *dist.Worker) {
 			var comm dist.Comm = w
 			if plan.Enabled() {
 				comm = dist.NewFaultInjector(w, plan)
 			}
-			run := &workerRun{mgr: mgr, every: every, resume: snap,
+			run := &workerRun{mgr: es.mgr, every: es.every, resume: snap,
 				cancel: ctx.Done(), cancelled: &cancelled}
 			if w.Rank == 0 {
 				runWorker(comm, cfg, buildNet, trainSet, testSet, task, makePre, target, tl, &res, run)
@@ -134,27 +107,10 @@ func RunElasticCtx(ctx context.Context, p int, cfg Config, ec ElasticConfig,
 			}
 			return res, nil
 		}
-		if attempt >= maxRestarts {
-			return res, fmt.Errorf("train: giving up after %d restarts: %v", attempt, errs)
-		}
-
-		// Recovery: reload the last good snapshot (corrupt files fall back
-		// inside LoadLatest), disarm the one-shot panic, and rebuild the
-		// worker pool — either in place or one rank smaller.
-		telemetry.IncCounter(telemetry.MetricRecoveries, 1)
-		telemetry.Instant("train_recovery", 0,
-			telemetry.Label{Key: "attempt", Value: fmt.Sprint(attempt + 1)},
-			telemetry.Label{Key: "error", Value: fmt.Sprint(errs[0])})
-		plan.PanicStep = -1
-		latest, _, err := mgr.LoadLatest()
-		switch {
-		case err == nil:
-			resume = latest
-		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			resume = nil // failed before the first checkpoint: restart cold
-		default:
+		if err := es.recover(attempt, errs); err != nil {
 			return res, err
 		}
+		// Rebuild the worker pool — either in place or one rank smaller.
 		if ec.AllowShrink && p > 1 {
 			p--
 			cluster = dist.NewCluster(p)
@@ -165,4 +121,75 @@ func RunElasticCtx(ctx context.Context, p int, cfg Config, ec ElasticConfig,
 			cluster.Reset()
 		}
 	}
+}
+
+// elasticState is what both elastic drivers carry across attempts: the
+// checkpoint manager and cadence, the restart budget, the fault plan, and
+// the snapshot the next launch resumes from.
+type elasticState struct {
+	mgr         *ckpt.Manager
+	every       int
+	maxRestarts int
+	plan        dist.FaultPlan
+	resume      *ckpt.Snapshot
+}
+
+// newElasticState opens the checkpoint directory, applies the Every and
+// MaxRestarts defaults, and under ec.Resume loads the latest good
+// snapshot (an empty directory is a fresh start).
+func newElasticState(ec ElasticConfig) (*elasticState, error) {
+	mgr, err := ckpt.NewManager(ec.Dir, ec.Keep)
+	if err != nil {
+		return nil, fmt.Errorf("train: checkpoint dir: %w", err)
+	}
+	es := &elasticState{mgr: mgr, every: ec.Every, maxRestarts: ec.MaxRestarts,
+		plan: dist.FaultPlan{PanicStep: -1}}
+	if es.every <= 0 {
+		es.every = 1
+	}
+	if es.maxRestarts <= 0 {
+		es.maxRestarts = 3
+	}
+	if ec.Faults != nil {
+		es.plan = *ec.Faults
+	}
+	if ec.Resume {
+		if err := es.reload(); err != nil {
+			return nil, err
+		}
+	}
+	return es, nil
+}
+
+// reload points resume at the latest good snapshot (corrupt files fall
+// back inside LoadLatest); none at all means a cold start.
+func (es *elasticState) reload() error {
+	snap, _, err := es.mgr.LoadLatest()
+	switch {
+	case err == nil:
+		es.resume = snap
+	case errors.Is(err, ckpt.ErrNoCheckpoint):
+		es.resume = nil
+	default:
+		return err
+	}
+	return nil
+}
+
+// recover is the step after failed attempt number attempt: once the
+// restart budget is spent it returns the give-up error; otherwise it
+// counts the recovery (MetricRecoveries, tagged with labels), marks it on
+// the trace, disarms the one-shot scheduled panic so the relaunch does not
+// re-die at the same step, and reloads the last good snapshot.
+func (es *elasticState) recover(attempt int, errs []error, labels ...telemetry.Label) error {
+	if attempt >= es.maxRestarts {
+		return fmt.Errorf("train: giving up after %d restarts: %v", attempt, errs)
+	}
+	telemetry.IncCounter(telemetry.MetricRecoveries, 1, labels...)
+	telemetry.Instant("train_recovery", 0, append([]telemetry.Label{
+		{Key: "attempt", Value: fmt.Sprint(attempt + 1)},
+		{Key: "error", Value: fmt.Sprint(errs[0])},
+	}, labels...)...)
+	es.plan.PanicStep = -1
+	return es.reload()
 }

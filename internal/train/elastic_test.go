@@ -1,6 +1,7 @@
 package train
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -81,6 +82,53 @@ func TestElasticRecoveryMatchesUninterrupted(t *testing.T) {
 	}
 	if math.Abs(ref.Best-res.Best) > 1e-12 {
 		t.Fatalf("best metric: uninterrupted %g vs recovered %g", ref.Best, res.Best)
+	}
+}
+
+// TestElasticRecoverStepCountsOnce: the recovery step both elastic drivers
+// share counts exactly one recovery per failed attempt, under the driver's
+// labels, disarms the scheduled panic, and gives up — without counting —
+// once the restart budget is spent.
+func TestElasticRecoverStepCountsOnce(t *testing.T) {
+	prev := telemetry.Default()
+	telemetry.SetDefault(telemetry.New())
+	telemetry.SetEnabled(true)
+	defer func() {
+		telemetry.SetEnabled(false)
+		telemetry.SetDefault(prev)
+	}()
+
+	es, err := newElasticState(ElasticConfig{
+		Dir:    t.TempDir(),
+		Resume: true,
+		Faults: &dist.FaultPlan{Seed: 1, PanicRank: 1, PanicStep: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es.every != 1 || es.maxRestarts != 3 || es.resume != nil {
+		t.Fatalf("defaults: every=%d maxRestarts=%d resume=%v", es.every, es.maxRestarts, es.resume)
+	}
+	tcp := telemetry.Label{Key: "transport", Value: "tcp"}
+	if err := es.recover(0, []error{errors.New("rank 1 died")}, tcp); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	reg := telemetry.Default().Metrics
+	if n := reg.Counter(telemetry.MetricRecoveries, tcp).Value(); n != 1 {
+		t.Fatalf("tcp recoveries = %d; want 1", n)
+	}
+	if es.plan.PanicStep != -1 {
+		t.Fatalf("scheduled panic still armed at step %d", es.plan.PanicStep)
+	}
+	if es.resume != nil {
+		t.Fatal("empty checkpoint dir must restart cold")
+	}
+	err = es.recover(es.maxRestarts, []error{errors.New("again")}, tcp)
+	if err == nil || !strings.Contains(err.Error(), "giving up") {
+		t.Fatalf("exhausted budget: err = %v", err)
+	}
+	if n := reg.Counter(telemetry.MetricRecoveries, tcp).Value(); n != 1 {
+		t.Fatalf("tcp recoveries after giving up = %d; want 1", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package train
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -36,56 +35,30 @@ func RunElasticProc(proc *distnet.Proc, cfg Config, ec ElasticConfig,
 	trainSet, testSet *data.Dataset, task Task,
 	makePre PrecondFactory, target float64) (Result, error) {
 
-	mgr, err := ckpt.NewManager(ec.Dir, ec.Keep)
+	es, err := newElasticState(ec)
 	if err != nil {
-		return Result{}, fmt.Errorf("train: checkpoint dir: %w", err)
+		return Result{}, err
 	}
-	every := ec.Every
-	if every <= 0 {
-		every = 1
-	}
-	maxRestarts := ec.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 3
-	}
-	plan := dist.FaultPlan{PanicStep: -1}
-	if ec.Faults != nil {
-		plan = *ec.Faults
-	}
-
-	var resume *ckpt.Snapshot
-	if ec.Resume {
-		snap, _, err := mgr.LoadLatest()
-		switch {
-		case err == nil:
-			resume = snap
-		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			// Fresh start.
-		default:
-			return Result{}, err
-		}
-	}
-
 	for attempt := 0; ; attempt++ {
 		// Generation snapshot agreement: every process offers its local
 		// candidate, everyone resumes from the coordinator's. A process with
 		// no checkpoint directory contents (a fresh joiner, a member that
 		// never hosted rank 0) starts from whatever the coordinator has.
-		resume, err = syncSnapshot(proc, resume)
+		es.resume, err = syncSnapshot(proc, es.resume)
 		if err != nil {
 			return Result{}, err
 		}
 
 		tl := dist.NewTimeline()
 		var res Result
-		snap := resume
+		plan, snap := es.plan, es.resume
 		hostsRank0 := proc.BaseRank() == 0
 		errs := proc.Run(func(c dist.Comm) {
 			comm := c
 			if plan.Enabled() {
 				comm = dist.NewFaultInjector(c, plan)
 			}
-			run := &workerRun{mgr: mgr, every: every, resume: snap}
+			run := &workerRun{mgr: es.mgr, every: es.every, resume: snap}
 			if c.ID() == 0 {
 				runWorker(comm, cfg, buildNet, trainSet, testSet, task, makePre, target, tl, &res, run)
 			} else {
@@ -98,22 +71,7 @@ func RunElasticProc(proc *distnet.Proc, cfg Config, ec ElasticConfig,
 			}
 			return res, nil
 		}
-		if attempt >= maxRestarts {
-			return res, fmt.Errorf("train: giving up after %d restarts: %v", attempt, errs)
-		}
-
-		telemetry.Instant("train_recovery", 0,
-			telemetry.Label{Key: "attempt", Value: fmt.Sprint(attempt + 1)},
-			telemetry.Label{Key: "error", Value: fmt.Sprint(errs[0])},
-			telemetry.Label{Key: "transport", Value: "tcp"})
-		plan.PanicStep = -1
-		latest, _, err := mgr.LoadLatest()
-		switch {
-		case err == nil:
-			resume = latest
-		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			resume = nil // failed before the first checkpoint: restart cold
-		default:
+		if err := es.recover(attempt, errs, telemetry.Label{Key: "transport", Value: "tcp"}); err != nil {
 			return res, err
 		}
 		// Rendezvous for the next generation: the coordinator gathers the

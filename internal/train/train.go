@@ -65,11 +65,6 @@ type Config struct {
 	// while the epoch loss improves and grows when it regresses. Every
 	// worker sees the same (all-reduced) loss, so replicas stay in sync.
 	AdaptDamping bool
-	// RingAllReduce switches gradient averaging from the barrier-based
-	// collective to the chunked ring algorithm (NCCL-style): 2(P−1) hops
-	// of n/P elements. Results differ from the barrier path only in
-	// floating-point summation grouping.
-	RingAllReduce bool
 	// OnEpoch, when non-nil, is invoked on rank 0 after every epoch with
 	// that epoch's statistics — the live-progress hook the job server uses
 	// for status endpoints and per-job JSONL telemetry. It runs on the
@@ -420,14 +415,8 @@ func runWorker(comm dist.Comm, cfg Config, buildNet func(rng *mat.RNG) *nn.Netwo
 
 			// Average gradients across workers (standard data parallelism).
 			if p > 1 {
-				ringW, useRing := dist.AsWorker(comm)
 				for _, prm := range params {
-					var avg *mat.Dense
-					if cfg.RingAllReduce && useRing {
-						avg = ringW.RingAllReduceMat(prm.Grad)
-					} else {
-						avg = comm.AllReduceMat(prm.Grad)
-					}
+					avg := comm.AllReduceMat(prm.Grad)
 					avg.Scale(1 / float64(p))
 					prm.Grad.CopyFrom(avg)
 				}
